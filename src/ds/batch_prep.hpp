@@ -53,6 +53,13 @@ namespace batcher::ds {
 // largest rung at which the serial replay does no more work than sort-merge.
 inline constexpr std::size_t kSerialApplyMaxKeys = 64;
 
+// Distinct keys one skip-list search leaf walks in lockstep
+// (find_preds_group), and the grain of that search pass, so a leaf is one
+// group.  Its cursors' cache misses overlap, so a leaf costs about one miss
+// chain instead of one per key; EXPERIMENTS.md "FIG5-real" has the sweep
+// over {8, 16, 32} that picked it.
+inline constexpr std::size_t kSearchGroup = 16;
+
 namespace prep {
 
 // A batch record: one key plus the index of the op it came from.  Ordered by

@@ -38,10 +38,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit_session.hpp"
@@ -824,6 +827,148 @@ TEST(BopLarge, MultiInsertLargeBatchMatchesSet) {
   ASSERT_TRUE(list.check_invariants());
   ASSERT_EQ(list.size_unsafe(), model.size());
   for (Key k : model) ASSERT_TRUE(list.contains_unsafe(k)) << "key " << k;
+}
+
+// Above the cutoff both write phases search each leaf's distinct keys as one
+// lockstep group of up to ds::kSearchGroup cursors.  These batches aim at
+// the group's edges: an empty list, keys beyond both ends of the list,
+// duplicate runs longer than two groups (so they straddle group and leaf
+// boundaries wherever those fall), sizes that are not a multiple of the
+// group, and batches whose keys are all present.  Every op's result is
+// checked against the phase model: erases in working-set order, then
+// inserts in working-set order.
+TEST(BopLarge, GroupedSearchMatchesSequentialModel) {
+  using Kind = BatchedSkipList::Kind;
+  constexpr std::size_t kGroup = ds::kSearchGroup;
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  static_assert((kCutoff + 3) % kGroup != 0 && (kCutoff + 5) % kGroup != 0);
+  for (unsigned p : {1u, 4u}) {
+    SCOPED_TRACE("P=" + std::to_string(p));
+    rt::Scheduler sched(p);
+    BatchedSkipList list(sched, 31 + p);
+    std::set<Key> model;
+    Xoshiro256 rng(17 + p);
+    using Batch = std::vector<std::pair<Kind, Key>>;
+    auto apply = [&](const Batch& batch, const char* what) {
+      SCOPED_TRACE(what);
+      ASSERT_GT(batch.size(), kCutoff);
+      const std::size_t n = batch.size();
+      std::vector<BatchedSkipList::Op> ops(n);
+      std::vector<OpRecordBase*> ptrs(n);
+      std::vector<bool> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ops[i].kind = batch[i].first;
+        ops[i].key = batch[i].second;
+        ptrs[i] = &ops[i];
+        if (batch[i].first == Kind::Erase) {
+          expected[i] = model.erase(batch[i].second) > 0;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (batch[i].first == Kind::Insert) {
+          expected[i] = model.insert(batch[i].second).second;
+        }
+      }
+      sched.run([&] { list.run_batch(ptrs.data(), n); });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(ops[i].found, expected[i])
+            << "op " << i << " key " << batch[i].second;
+      }
+      ASSERT_TRUE(list.check_invariants());
+      ASSERT_EQ(list.size_unsafe(), model.size());
+      for (Key k : model) ASSERT_TRUE(list.contains_unsafe(k)) << "key " << k;
+    };
+    auto uniform = [](Kind kind, const std::vector<Key>& keys) {
+      Batch b;
+      for (Key k : keys) b.emplace_back(kind, k);
+      return b;
+    };
+    auto inside_keys = [&](std::size_t n) {
+      std::vector<Key> keys(n);
+      for (auto& k : keys) k = 1000 + static_cast<Key>(rng.next_below(4000));
+      return keys;
+    };
+
+    // Empty list: every erase misses, then the first inserts land.
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Erase, inside_keys(kCutoff + 3)),
+              "erase on empty"));
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Insert, inside_keys(kCutoff + 5)),
+              "insert on empty"));
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Insert, inside_keys(40 * kGroup + 3)),
+              "populate"));
+
+    // Keys below the minimum and above the maximum (including the Key
+    // range's ends and 0, the head sentinel's key), mixed with inside keys.
+    std::vector<Key> outside = {kMin, kMin + 1, -7, 0, 1, 999,
+                                5001, 1 << 20, kMax - 1, kMax};
+    std::vector<Key> ends = inside_keys(kCutoff + 1);
+    ends.insert(ends.end(), outside.begin(), outside.end());
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Insert, ends),
+              "insert beyond both ends"));
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Erase, ends),
+              "erase beyond both ends"));
+
+    // Duplicate runs: one key repeated 2G + 3 times straddles at least two
+    // group/leaf boundaries; short runs of 2-3 land at assorted offsets.
+    // Erases and inserts of one key share the batch, so the erase phase's
+    // duplicate handling feeds the insert phase.
+    Batch dups;
+    const Key hot =
+        *std::next(model.begin(), static_cast<long>(model.size() / 2));
+    for (std::size_t i = 0; i < 2 * kGroup + 3; ++i) {
+      dups.emplace_back(i % 3 == 0 ? Kind::Erase : Kind::Insert, hot);
+    }
+    for (Key k : inside_keys(kCutoff)) {
+      const std::size_t copies = 1 + rng.next_below(3);
+      for (std::size_t c = 0; c < copies; ++c) {
+        dups.emplace_back(rng.next_below(2) == 0 ? Kind::Erase : Kind::Insert,
+                          k);
+      }
+    }
+    for (std::size_t i = 0; i < dups.size(); ++i) {
+      std::swap(dups[i], dups[i + rng.next_below(dups.size() - i)]);
+    }
+    ASSERT_NO_FATAL_FAILURE(apply(dups, "duplicate runs"));
+    Batch insert_dups;
+    for (std::size_t i = 0; i < 3 * kGroup + 1; ++i) {
+      insert_dups.emplace_back(Kind::Insert, kMax - 3);
+    }
+    for (Key k : inside_keys(kCutoff)) {
+      insert_dups.emplace_back(Kind::Insert, k);
+    }
+    ASSERT_NO_FATAL_FAILURE(apply(insert_dups, "insert duplicate runs"));
+
+    // Batches whose keys are all present: inserts all lose, erases all win.
+    std::vector<Key> present;
+    for (Key k : model) {
+      if (present.size() == kCutoff + kGroup + 1) break;
+      present.push_back(k);
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Insert, present),
+              "insert all present"));
+    ASSERT_NO_FATAL_FAILURE(
+        apply(uniform(Kind::Erase, present),
+              "erase all present"));
+
+    // Random mixed batches whose sizes are not multiples of the group.
+    for (int round = 0; round < 8; ++round) {
+      std::size_t n = kCutoff + 1 + rng.next_below(4 * kCutoff);
+      if (n % kGroup == 0) ++n;
+      Batch mixed;
+      for (Key k : inside_keys(n)) {
+        mixed.emplace_back(rng.next_below(3) == 0 ? Kind::Erase : Kind::Insert,
+                           k);
+      }
+      ASSERT_NO_FATAL_FAILURE(apply(mixed, "random mixed"));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
