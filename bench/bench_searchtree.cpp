@@ -2,10 +2,10 @@
 // batched 2-3 tree, with the Θ(n lg n / P) optimality check and the
 // simulated speedup curve.
 //
-// The weight-balanced tree lanes ride along, and a span-profile section
-// drives run_batch directly at controlled batch sizes so the report carries
-// per-size s(n) histograms of its bulk merge (gated downstream as
-// span_growth/wbtree).
+// A span-profile section drives the 2-3 tree's run_batch directly at
+// controlled batch sizes so the report carries per-size s(n) histograms of
+// its bulk insert and tombstone erase (gated downstream as
+// span_growth/tree23).
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -14,7 +14,6 @@
 
 #include "bench/common.hpp"
 #include "ds/batched_tree23.hpp"
-#include "ds/batched_wbtree.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/cost_model.hpp"
@@ -24,14 +23,14 @@
 namespace {
 namespace bench = batcher::bench;
 using batcher::Stopwatch;
-using batcher::ds::BatchedWBTree;
+using batcher::ds::BatchedTree23;
 
 const std::int64_t kN = bench::scaled(100000, 10000);
 
 double run_batched_tree(unsigned workers, double* mean_batch,
                         bench::Report& report) {
   batcher::rt::Scheduler sched(workers);
-  batcher::ds::BatchedTree23 tree(sched);
+  BatchedTree23 tree(sched);
   const auto keys = bench::random_keys(kN, 5);
   Stopwatch sw;
   sched.run([&] {
@@ -47,25 +46,6 @@ double run_batched_tree(unsigned workers, double* mean_batch,
   return secs;
 }
 
-double run_batched_wbtree(unsigned workers, double* mean_batch,
-                          bench::Report& report) {
-  batcher::rt::Scheduler sched(workers);
-  BatchedWBTree tree(sched);
-  const auto keys = bench::random_keys(kN, 5);
-  Stopwatch sw;
-  sched.run([&] {
-    batcher::rt::parallel_for(
-        0, kN,
-        [&](std::int64_t i) { tree.insert(keys[static_cast<std::size_t>(i)]); },
-        /*grain=*/16);
-  });
-  const double secs = sw.elapsed_seconds();
-  const batcher::BatcherStats stats = tree.batcher().stats();
-  report.batcher_stats("BATCHED-WB/P=" + std::to_string(workers), stats);
-  *mean_batch = stats.mean_batch_size();
-  return secs;
-}
-
 double run_std_set() {
   std::set<std::int64_t> tree;
   const auto keys = bench::random_keys(kN, 5);
@@ -77,7 +57,7 @@ double run_std_set() {
 // Directly driven batches at controlled sizes: an insert round of fresh keys
 // then an erase round of the same keys, booked into the bound ledger under
 // the tree's trace domain (see bench_fig5_skiplist.cpp for the rationale).
-void span_profile(batcher::rt::Scheduler& sched, BatchedWBTree& tree,
+void span_profile(batcher::rt::Scheduler& sched, BatchedTree23& tree,
                   std::uint64_t seed) {
   constexpr std::size_t kProfileSizes[] = {1, 4, 16, 64, 4096};
   // Unbooked warmup reps absorb cold caches and arena block faults; the
@@ -98,10 +78,10 @@ void span_profile(batcher::rt::Scheduler& sched, BatchedWBTree& tree,
       for (int rep = 0; rep < kWarmup + kReps; ++rep) {
         const bool warm = rep >= kWarmup;
         const auto keys = bench::random_keys(n, ++salt);
-        std::vector<BatchedWBTree::Op> ops(n);
+        std::vector<BatchedTree23::Op> ops(n);
         std::vector<batcher::OpRecordBase*> ptrs(n);
         for (std::size_t i = 0; i < n; ++i) {
-          ops[i].kind = BatchedWBTree::Kind::Insert;
+          ops[i].kind = BatchedTree23::Kind::Insert;
           ops[i].key = keys[i];
           ptrs[i] = &ops[i];
         }
@@ -112,7 +92,7 @@ void span_profile(batcher::rt::Scheduler& sched, BatchedWBTree& tree,
           tree.run_batch(ptrs.data(), n);
         }
         for (std::size_t i = 0; i < n; ++i) {
-          ops[i].kind = BatchedWBTree::Kind::Erase;
+          ops[i].kind = BatchedTree23::Kind::Erase;
           ops[i].key = keys[i];
           ops[i].found = false;
         }
@@ -145,8 +125,8 @@ int main() {
   // report.write() so their recycled-on-unregister trace domain ids (and the
   // labels bound to them) stay stable.
   batcher::rt::Scheduler profile_sched(1);
-  BatchedWBTree profile(profile_sched);
-  report.domain_label(profile.batcher().trace_id(), "wbtree");
+  BatchedTree23 profile(profile_sched);
+  report.domain_label(profile.batcher().trace_id(), "tree23");
   if (batcher::trace::enabled()) {
     bench::note("span profile: directly driven batches of size 1..4096, "
                 "insert+erase -> bound_ledger");
@@ -167,12 +147,6 @@ int main() {
                bench::mops(kN, secs), mean_batch);
     report.metric("mins_per_s/BATCHED-2-3/P=" + std::to_string(p),
                   bench::mops(kN, secs) * 1e6, "1/s");
-    double wb_mean_batch = 0;
-    const double wb_secs = run_batched_wbtree(p, &wb_mean_batch, report);
-    bench::row("%-6u %-18s %12.3f %12.2f", p, "BATCHED-WB",
-               bench::mops(kN, wb_secs), wb_mean_batch);
-    report.metric("mins_per_s/BATCHED-WB/P=" + std::to_string(p),
-                  bench::mops(kN, wb_secs) * 1e6, "1/s");
   }
 
   bench::note("simulated processors: makespan vs the Theta(n lg n / P) "

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "parallel/prefix_sum.hpp"
-#include "parallel/scan.hpp"
+#include "parallel/reduce.hpp"
 #include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "support/config.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ds/batch_prep.hpp"
 #include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "support/config.hpp"
@@ -9,13 +10,7 @@
 namespace batcher::ds {
 
 namespace {
-struct TaggedKey {
-  BatchedTree23::Key key;
-  std::uint32_t op_index;
-  bool operator<(const TaggedKey& o) const {
-    return key != o.key ? key < o.key : op_index < o.op_index;
-  }
-};
+using TaggedKey = prep::Tagged<BatchedTree23::Key>;
 }  // namespace
 
 BatchedTree23::BatchedTree23(rt::Scheduler& sched, Batcher::SetupPolicy setup)
@@ -158,7 +153,7 @@ void BatchedTree23::apply_erases(std::vector<Op*>& ops) {
       0, static_cast<std::int64_t>(keys.size()),
       [&](std::int64_t i) {
         const auto idx = static_cast<std::size_t>(i);
-        Op* op = ops[keys[idx].op_index];
+        Op* op = ops[keys[idx].ws];
         if (idx > 0 && keys[idx].key == keys[idx - 1].key) {
           op->found = false;
           return;
@@ -197,7 +192,7 @@ void BatchedTree23::apply_inserts(std::vector<Op*>& ops) {
       0, static_cast<std::int64_t>(keys.size()),
       [&](std::int64_t i) {
         const auto idx = static_cast<std::size_t>(i);
-        Op* op = ops[keys[idx].op_index];
+        Op* op = ops[keys[idx].ws];
         if (idx > 0 && keys[idx].key == keys[idx - 1].key) {
           op->found = false;  // duplicate within batch
           return;

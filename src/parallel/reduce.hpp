@@ -1,9 +1,16 @@
-// Parallel reduction with binary forking: O(n) work, O(lg n) span.
+// Parallel reductions, Θ(n) work each:
+//
+//  * `parallel_reduce` — binary forking down to a grain, Θ(lg n) span;
+//  * `reduce` — the blocked scheme of prefix_sum.hpp (per-block totals, then
+//    a serial fold of the min(n, 4P) block totals), so it forks exactly like
+//    the batch-prep scans it runs beside.
 #pragma once
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
+#include "parallel/prefix_sum.hpp"
 #include "runtime/api.hpp"
 
 namespace batcher::par {
@@ -44,6 +51,30 @@ T parallel_sum(std::int64_t lo, std::int64_t hi, const Map& map,
                std::int64_t grain = 0) {
   return parallel_reduce<T>(
       lo, hi, T{}, map, [](T a, T b) { return a + b; }, grain);
+}
+
+// Blocked reduction over [0, n) of value(i) under an associative `op`.
+template <typename T, typename ValueFn, typename Op>
+T reduce(std::int64_t n, const ValueFn& value, const Op& op, T identity) {
+  if (n <= 0) return identity;
+  const std::int64_t blocks = detail::scan_blocks_for(n);
+  if (blocks <= 1) {
+    T total = identity;
+    for (std::int64_t i = 0; i < n; ++i) total = op(total, value(i));
+    return total;
+  }
+  std::vector<T> sums(static_cast<std::size_t>(blocks), identity);
+  detail::for_blocks(n, blocks, 0,
+                     [&](std::int64_t b, std::int64_t lo, std::int64_t hi) {
+                       T total = identity;
+                       for (std::int64_t i = lo; i < hi; ++i)
+                         total = op(total, value(i));
+                       sums[static_cast<std::size_t>(b)] = total;
+                     });
+  T total = identity;
+  for (std::int64_t b = 0; b < blocks; ++b)
+    total = op(total, sums[static_cast<std::size_t>(b)]);
+  return total;
 }
 
 }  // namespace batcher::par

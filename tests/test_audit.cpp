@@ -25,7 +25,7 @@
 #include "audit/invariant_auditor.hpp"
 #include "audit/schedule_perturber.hpp"
 #include "ds/batched_counter.hpp"
-#include "ds/batched_wbtree.hpp"
+#include "ds/batched_tree23.hpp"
 #include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
@@ -381,7 +381,7 @@ TEST(AuditedLive, StressScenariosStayClean) {
   {
     rt::Scheduler sched(kWorkers);
     ds::BatchedCounter counter(sched);
-    ds::BatchedWBTree tree(sched);
+    ds::BatchedTree23 tree(sched);
     std::atomic<std::int64_t> leaves{0};
     sched.run([&] {
       rt::parallel_invoke(

@@ -3,9 +3,9 @@
 // The skip list picks its BOP path by batch size: at most
 // ds::kSerialApplyMaxKeys write keys replay serially in working-set order,
 // larger batches run the sort-merge path, which reorders the batch
-// internally (sort by key, scan-pack groups, parallel combine).  The
-// weight-balanced tree always runs its bulk merge, which reorders the same
-// way; the hash map always replays serially.
+// internally (sort by key, scan-pack groups, parallel combine).  The 2-3
+// tree always sorts each phase's keys before its bulk pass, which reorders
+// the same way; the hash map always replays serially.
 // That reordering is exactly where same-key semantics can silently break:
 // two inserts of one key racing for "first wins", an erase and a contains
 // straddling the phase boundary, update deltas folding in the wrong order.
@@ -53,7 +53,7 @@
 #include "ds/batch_prep.hpp"
 #include "ds/batched_hashmap.hpp"
 #include "ds/batched_skiplist.hpp"
-#include "ds/batched_wbtree.hpp"
+#include "ds/batched_tree23.hpp"
 #include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
@@ -65,7 +65,7 @@ namespace {
 
 using ds::BatchedHashMap;
 using ds::BatchedSkipList;
-using ds::BatchedWBTree;
+using ds::BatchedTree23;
 using Key = std::int64_t;
 
 constexpr std::uint64_t kSweepSeeds = 500;
@@ -282,152 +282,92 @@ TEST(BopSameKey, SkipListMixedTapeMatchesModel) {
 }
 
 // ---------------------------------------------------------------------------
-// 1b. Weight-balanced tree: mixed tape vs phase-aware model.
+// 1b. 2-3 tree: insert/erase/contains tape vs phase-aware model.
 // ---------------------------------------------------------------------------
 
 struct TreeSpec {
-  BatchedWBTree::Kind kind = BatchedWBTree::Kind::Insert;
+  BatchedTree23::Kind kind = BatchedTree23::Kind::Insert;
   Key key = 0;
-  Key key2 = 0;
-  std::int64_t index = 0;  // Select input
-};
-
-struct TreeExpected {
-  bool found = false;
-  std::int64_t count = 0;
-  std::optional<Key> out_key;
 };
 
 std::vector<TreeSpec> random_tree_batch(Xoshiro256& rng, std::size_t n) {
   std::vector<TreeSpec> specs(n);
   for (auto& s : specs) {
-    const std::uint64_t pick = rng.next_below(12);
+    const std::uint64_t pick = rng.next_below(9);
     s.key = draw_key(rng);
     if (pick < 4) {
-      s.kind = BatchedWBTree::Kind::Insert;
+      s.kind = BatchedTree23::Kind::Insert;
     } else if (pick < 7) {
-      s.kind = BatchedWBTree::Kind::Erase;
-    } else if (pick < 9) {
-      s.kind = BatchedWBTree::Kind::Contains;
-    } else if (pick < 10) {
-      s.kind = BatchedWBTree::Kind::Rank;
-      s.key += static_cast<Key>(rng.next_below(15)) - 7;
-    } else if (pick < 11) {
-      s.kind = BatchedWBTree::Kind::Select;
-      s.index = static_cast<std::int64_t>(rng.next_below(kUniverse + 2));
+      s.kind = BatchedTree23::Kind::Erase;
     } else {
-      s.kind = BatchedWBTree::Kind::RangeCount;
-      s.key2 = s.key + static_cast<Key>(rng.next_below(60));
+      s.kind = BatchedTree23::Kind::Contains;
     }
   }
   return specs;
 }
 
-std::vector<TreeExpected> model_tree_batch(std::set<Key>& s,
-                                           const std::vector<TreeSpec>& specs) {
-  std::vector<TreeExpected> exp(specs.size());
-  const std::set<Key> pre = s;
+// Per-op expected `found`: contains on the pre state, then erases, then
+// inserts, each in batch order.
+std::vector<bool> model_tree_batch(std::set<Key>& s,
+                                   const std::vector<TreeSpec>& specs) {
+  std::vector<bool> exp(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TreeSpec& sp = specs[i];
-    switch (sp.kind) {
-      case BatchedWBTree::Kind::Contains:
-        exp[i].found = pre.count(sp.key) > 0;
-        break;
-      case BatchedWBTree::Kind::Rank: {
-        std::int64_t c = 0;
-        for (Key k : pre) {
-          if (k < sp.key) ++c;
-        }
-        exp[i].count = c;
-        break;
-      }
-      case BatchedWBTree::Kind::Select: {
-        if (sp.index >= 0 &&
-            sp.index < static_cast<std::int64_t>(pre.size())) {
-          auto it = pre.begin();
-          std::advance(it, sp.index);
-          exp[i].out_key = *it;
-        }
-        break;
-      }
-      case BatchedWBTree::Kind::RangeCount: {
-        std::int64_t c = 0;
-        for (auto it = pre.lower_bound(sp.key);
-             it != pre.end() && *it <= sp.key2; ++it) {
-          ++c;
-        }
-        exp[i].count = c;
-        break;
-      }
-      default:
-        break;
+    if (specs[i].kind == BatchedTree23::Kind::Contains) {
+      exp[i] = s.count(specs[i].key) > 0;
     }
   }
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].kind == BatchedWBTree::Kind::Erase) {
-      exp[i].found = s.erase(specs[i].key) > 0;
+    if (specs[i].kind == BatchedTree23::Kind::Erase) {
+      exp[i] = s.erase(specs[i].key) > 0;
     }
   }
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].kind == BatchedWBTree::Kind::Insert) {
-      exp[i].found = s.insert(specs[i].key).second;
+    if (specs[i].kind == BatchedTree23::Kind::Insert) {
+      exp[i] = s.insert(specs[i].key).second;
     }
   }
   return exp;
 }
 
-void run_tree_batch(BatchedWBTree& tree, const std::vector<TreeSpec>& specs,
-                    const std::vector<TreeExpected>& exp, const char* tag,
+void run_tree_batch(BatchedTree23& tree, const std::vector<TreeSpec>& specs,
+                    const std::vector<bool>& exp, const char* tag,
                     std::uint64_t seed, int round) {
-  std::vector<BatchedWBTree::Op> ops(specs.size());
+  std::vector<BatchedTree23::Op> ops(specs.size());
   std::vector<OpRecordBase*> ptrs(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ops[i].kind = specs[i].kind;
     ops[i].key = specs[i].key;
-    ops[i].key2 = specs[i].key2;
-    if (specs[i].kind == BatchedWBTree::Kind::Select) {
-      ops[i].count = specs[i].index;
-    }
     ptrs[i] = &ops[i];
   }
   tree.run_batch(ptrs.data(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    switch (specs[i].kind) {
-      case BatchedWBTree::Kind::Select:
-        ASSERT_EQ(ops[i].out_key, exp[i].out_key)
-            << tag << " seed " << seed << " round " << round << " op " << i;
-        break;
-      case BatchedWBTree::Kind::Rank:
-      case BatchedWBTree::Kind::RangeCount:
-        ASSERT_EQ(ops[i].count, exp[i].count)
-            << tag << " seed " << seed << " round " << round << " op " << i;
-        break;
-      default:
-        ASSERT_EQ(ops[i].found, exp[i].found)
-            << tag << " seed " << seed << " round " << round << " op " << i;
-        break;
-    }
+    ASSERT_EQ(ops[i].found, exp[i])
+        << tag << " seed " << seed << " round " << round << " op " << i;
   }
 }
 
 // The tree has no serial cutoff (one bulk path at every size), so its sweep
 // draws the same batch sizes but has no sides to count.
-TEST(BopSameKey, WBTreeMixedTapeMatchesModel) {
+TEST(BopSameKey, Tree23MixedTapeMatchesModel) {
   rt::Scheduler sched(2);
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 2 + 2);
-    BatchedWBTree tree(sched);
+    BatchedTree23 tree(sched);
     std::set<Key> model;
     sched.run([&] {
       for (int round = 0; round < kRoundsPerSeed; ++round) {
         const auto specs = random_tree_batch(rng, draw_batch_size(rng));
         const auto exp = model_tree_batch(model, specs);
         ASSERT_NO_FATAL_FAILURE(
-            run_tree_batch(tree, specs, exp, "wbtree", seed, round));
+            run_tree_batch(tree, specs, exp, "tree23", seed, round));
       }
     });
     ASSERT_TRUE(tree.check_invariants()) << "seed " << seed;
     ASSERT_EQ(tree.size_unsafe(), model.size()) << "seed " << seed;
+    for (std::int64_t k = 0; k < kUniverse; ++k) {
+      ASSERT_EQ(tree.contains_unsafe(k * 10), model.count(k * 10) > 0)
+          << "seed " << seed << " key " << k * 10;
+    }
   }
 }
 
@@ -750,7 +690,7 @@ TEST(BopPerturbed, UpdateDeltasFoldExactly) {
 TEST(BopLarge, DirectBatchesAcrossAllSizeBuckets) {
   rt::Scheduler sched(4);
   BatchedSkipList list(sched, 99);
-  BatchedWBTree tree(sched);
+  BatchedTree23 tree(sched);
   std::set<Key> model;
   Xoshiro256 rng(99);
   sched.run([&] {
@@ -760,12 +700,12 @@ TEST(BopLarge, DirectBatchesAcrossAllSizeBuckets) {
         k = static_cast<Key>(rng.next_below(4 * n));  // ~25% duplicates
       }
       std::vector<BatchedSkipList::Op> lops(n);
-      std::vector<BatchedWBTree::Op> tops(n);
+      std::vector<BatchedTree23::Op> tops(n);
       std::vector<OpRecordBase*> lptr(n), tptr(n);
       for (std::size_t i = 0; i < n; ++i) {
         lops[i].kind = BatchedSkipList::Kind::Insert;
         lops[i].key = keys[i];
-        tops[i].kind = BatchedWBTree::Kind::Insert;
+        tops[i].kind = BatchedTree23::Kind::Insert;
         tops[i].key = keys[i];
         lptr[i] = &lops[i];
         tptr[i] = &tops[i];
@@ -780,7 +720,7 @@ TEST(BopLarge, DirectBatchesAcrossAllSizeBuckets) {
       for (std::size_t i = 0; i < half; ++i) {
         lops[i].kind = BatchedSkipList::Kind::Erase;
         lops[i].found = false;
-        tops[i].kind = BatchedWBTree::Kind::Erase;
+        tops[i].kind = BatchedTree23::Kind::Erase;
         tops[i].found = false;
       }
       list.run_batch(lptr.data(), half);
@@ -1013,17 +953,17 @@ std::uint64_t skiplist_insert_span_tasks(std::size_t n) {
   });
 }
 
-std::uint64_t wbtree_insert_span_tasks(std::size_t n) {
+std::uint64_t tree23_insert_span_tasks(std::size_t n) {
   return measure_bop_span_tasks([&](rt::Scheduler& sched) {
-    BatchedWBTree tree(sched);
+    BatchedTree23 tree(sched);
     Xoshiro256 rng(5);
     for (int i = 0; i < 8192; ++i) {
       tree.insert_unsafe(static_cast<Key>(rng.next()));
     }
-    std::vector<BatchedWBTree::Op> ops(n);
+    std::vector<BatchedTree23::Op> ops(n);
     std::vector<OpRecordBase*> ptrs(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ops[i].kind = BatchedWBTree::Kind::Insert;
+      ops[i].kind = BatchedTree23::Kind::Insert;
       ops[i].key = static_cast<Key>(rng.next());
       ptrs[i] = &ops[i];
     }
@@ -1053,9 +993,9 @@ TEST(BopSpanTasks, SkipListSwitchesPathPastTheCutoff) {
   EXPECT_GT(skiplist_insert_span_tasks(kCutoff + 1), at_cutoff);
 }
 
-TEST(BopSpanTasks, WBTreeBatchSpanIsSublinear) {
-  const std::uint64_t span_small = wbtree_insert_span_tasks(512);
-  const std::uint64_t span_large = wbtree_insert_span_tasks(4096);
+TEST(BopSpanTasks, Tree23BatchSpanIsSublinear) {
+  const std::uint64_t span_small = tree23_insert_span_tasks(512);
+  const std::uint64_t span_large = tree23_insert_span_tasks(4096);
   EXPECT_GT(span_small, 0u);
   EXPECT_LT(span_large, 4 * span_small)
       << "span_small=" << span_small << " span_large=" << span_large;

@@ -645,6 +645,20 @@ TEST(ChaosSweep, ShardedFrontEndTimeoutsShedsRetriesAndQuarantine) {
   constexpr std::size_t kBlockerTid = kClients;
   constexpr std::size_t kProberTid = kClients + 1;
 
+  // Phase B's fault schedule and its observer are declared first so they
+  // outlive the scheduler: its workers can emit hook events until their
+  // threads join in ~Scheduler, and the observer is cleared only after that
+  // (schedule_hooks.hpp), on every exit path.
+  FaultSchedule::Options fopt;
+  fopt.horizon_events = 1500;
+  fopt.external_tids = kClients;
+  FaultSchedule faults(kSeed, fopt);
+  FaultOnlyObserver observer;
+  observer.faults = &faults;
+  struct ClearObserverOnExit {
+    ~ClearObserverOnExit() { hooks::install_observer(nullptr); }
+  } clear_observer_on_exit;
+
   rt::Scheduler sched(kWorkers);
   ds::BatchedHashMap map_a(sched);
   ds::BatchedHashMap map_b(sched);
@@ -696,12 +710,6 @@ TEST(ChaosSweep, ShardedFrontEndTimeoutsShedsRetriesAndQuarantine) {
   }
 
   // --- Phase B: seeded chaos against the running front-end ---
-  FaultSchedule::Options fopt;
-  fopt.horizon_events = 1500;
-  fopt.external_tids = kClients;
-  FaultSchedule faults(kSeed, fopt);
-  FaultOnlyObserver observer;
-  observer.faults = &faults;
   hooks::install_observer(&observer);
 
   std::atomic<std::uint64_t> attempts{0}, ok{0}, failed{0}, timed{0}, shed{0};
@@ -789,7 +797,6 @@ TEST(ChaosSweep, ShardedFrontEndTimeoutsShedsRetriesAndQuarantine) {
   }
   controller.join();
   blocker.join();
-  hooks::install_observer(nullptr);
 
   // The quarantine fired: the counter shard is closed (shutdown closes the
   // rest), and closed-ness is what rejected the late counter traffic above.

@@ -1,7 +1,8 @@
 // Tests for the parallel primitives: scan, reduce, pack, sort, merge.
 //
-// The batch-prep primitives (scan_exclusive / reduce / pack_indices in
-// parallel/scan.hpp, parallel_merge in parallel/sort.hpp) are exercised here
+// The batch-prep primitives (scan_exclusive / pack_indices in
+// parallel/prefix_sum.hpp, the blocked reduce in parallel/reduce.hpp,
+// parallel_merge in parallel/sort.hpp) are exercised here
 // directly — outside any BOP — both for correctness (serial fast path AND
 // the forced-parallel scheme via the cutoff guards) and for their measured
 // task-count span, which is a schedule-invariant dag property the sort-merge
@@ -17,7 +18,6 @@
 
 #include "parallel/prefix_sum.hpp"
 #include "parallel/reduce.hpp"
-#include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
@@ -209,7 +209,7 @@ TEST(Sort, CustomComparatorDescending) {
   EXPECT_TRUE(std::is_sorted(data.rbegin(), data.rend()));
 }
 
-// --- batch-prep primitives (parallel/scan.hpp), serial and forced-parallel --
+// --- batch-prep primitives (prefix_sum.hpp, reduce.hpp), serial and parallel --
 
 TEST(CutoffGuards, SetAndRestoreTheSharedTunables) {
   const std::int64_t scan0 = par::scan_serial_cutoff();

@@ -21,7 +21,6 @@
 #include "ds/batched_skiplist.hpp"
 #include "ds/batched_stack.hpp"
 #include "ds/batched_tree23.hpp"
-#include "ds/batched_wbtree.hpp"
 #include "audit/audit_session.hpp"
 #include "audit/schedule_perturber.hpp"
 #include "runtime/api.hpp"
@@ -102,10 +101,6 @@ TEST_P(PropertySeed, SkipListMatchesPhaseAwareSetModel) {
 
 TEST_P(PropertySeed, Tree23MatchesPhaseAwareSetModel) {
   run_set_property<ds::BatchedTree23>(GetParam());
-}
-
-TEST_P(PropertySeed, WBTreeMatchesPhaseAwareSetModel) {
-  run_set_property<ds::BatchedWBTree>(GetParam());
 }
 
 // --- Counter ---------------------------------------------------------------

@@ -11,7 +11,7 @@
 
 #include "ds/batched_counter.hpp"
 #include "ds/batched_om.hpp"
-#include "ds/batched_wbtree.hpp"
+#include "ds/batched_tree23.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/rng.hpp"
@@ -56,7 +56,7 @@ TEST_P(StressSeed, IrregularRecursionCountsLeavesExactly) {
 TEST_P(StressSeed, StructureAccessFromIrregularRecursion) {
   rt::Scheduler sched(4);
   ds::BatchedCounter counter(sched);
-  ds::BatchedWBTree tree(sched);
+  ds::BatchedTree23 tree(sched);
   std::atomic<std::int64_t> inserted{0};
 
   std::function<void(std::uint64_t, int)> go = [&](std::uint64_t seed,
@@ -100,7 +100,7 @@ TEST(RuntimeStress, RapidSchedulerChurnWithBatching) {
 TEST(RuntimeStress, ThreeStructuresInterleavedUnderOneScheduler) {
   rt::Scheduler sched(8);
   ds::BatchedCounter counter(sched);
-  ds::BatchedWBTree tree(sched);
+  ds::BatchedTree23 tree(sched);
   ds::BatchedOrderMaintenance om(sched);
   constexpr std::int64_t kN = 900;
   std::atomic<std::int64_t> om_inserts{0};

@@ -371,13 +371,13 @@ class BenchCompareTest(unittest.TestCase):
     def test_span_growth_missing_from_candidate_fails_the_gate(self):
         # Losing the span profile (e.g. the bench stopped driving controlled
         # batch sizes) is a coverage regression like any missing gated row.
-        dom = [span_domain("wbtree", {"le_1": 1000, "gt_64": 9000})]
+        dom = [span_domain("tree23", {"le_1": 1000, "gt_64": 9000})]
         code, out = self.run_compare(
             [], [], extra_args=["--metric", "span_growth/"],
             base_ledger=dom, cand_ledger=[])
         self.assertEqual(code, 1)
         self.assertIn("missing from candidate", out)
-        self.assertIn("span_growth/wbtree", out)
+        self.assertIn("span_growth/tree23", out)
 
     def test_new_metric_is_informational(self):
         code, out = self.run_compare(
